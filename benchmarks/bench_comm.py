@@ -26,10 +26,12 @@ baseline)::
     python benchmarks/bench_comm.py --smoke --check  # + regression gate
 
 ``--check`` compares each microbench's optimized time against the
-committed baseline *before* overwriting it and exits non-zero if any
-case regressed more than ``--check-factor`` (default 1.5x) beyond a
-0.15ms absolute noise floor, or if an e2e run broke byte identity or
-ledger equality.
+committed baseline *before* overwriting it, on a same-run basis: the
+baseline's optimized time is scaled by how much slower (or faster) this
+run timed the same case's reference path, so a uniformly slower machine
+passes.  It exits non-zero if any case exceeds ``--check-factor``
+(default 1.5x) times that expected time beyond a 0.15ms absolute noise
+floor, or if an e2e run broke byte identity or ledger equality.
 """
 
 from __future__ import annotations
@@ -231,11 +233,24 @@ def e2e_case(algo_name: str, rounds: int, clients: int, samples: int,
 # --------------------------------------------------------------------- #
 # regression gate                                                        #
 # --------------------------------------------------------------------- #
+def expected_opt_ms(live: dict, base: dict) -> float:
+    """The optimized time ``live`` should show if only the machine
+    changed: the baseline's optimized time scaled by the live/baseline
+    ratio of the same case's reference time."""
+    return base["opt_ms"] * live["ref_ms"] / base["ref_ms"]
+
+
 def check_regressions(record: dict, baseline_doc: str | None,
                       factor: float) -> list[str]:
     """Failures of the current record against the committed baseline
     (passed as the baseline file's *pre-run* text, since the run may
-    have overwritten it)."""
+    have overwritten it).
+
+    A live micro row fails when its optimized time exceeds ``factor``
+    times the expected time plus 0.15ms; the expected time is the
+    baseline's optimized time scaled by this run's reference time over
+    the baseline's (:func:`expected_opt_ms`), so machine speed cancels.
+    """
     failures = []
     for row in record["e2e"]:
         if not row["byte_identical"]:
@@ -257,10 +272,13 @@ def check_regressions(record: dict, baseline_doc: str | None,
         # 0.15ms absolute slack: the committed baseline is a min-of-N on
         # a quiet box; smoke runs jitter well past any ratio threshold
         # for sub-ms cases on shared CI cores.
-        if m["opt_ms"] > factor * base["opt_ms"] + 0.15:
+        expected = expected_opt_ms(m, base)
+        if m["opt_ms"] > factor * expected + 0.15:
             failures.append(
-                f"micro {m['name']}: {m['opt_ms']:.3f}ms vs baseline "
-                f"{base['opt_ms']:.3f}ms (> {factor}x)")
+                f"micro {m['name']}: {m['opt_ms']:.3f}ms vs expected "
+                f"{expected:.3f}ms (> {factor}x; baseline "
+                f"{base['opt_ms']:.3f}ms at ref {base['ref_ms']:.3f}ms, "
+                f"live ref {m['ref_ms']:.3f}ms)")
     return failures
 
 

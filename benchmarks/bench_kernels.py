@@ -21,10 +21,14 @@ baseline)::
     python benchmarks/bench_kernels.py --smoke --check  # + regression gate
 
 ``--check`` compares each microbench's optimized time against the
-committed baseline *before* overwriting it and exits non-zero if any op
-regressed more than ``--check-factor`` (default 1.5x) beyond a 0.15ms
-absolute noise floor (sub-ms ops at low repeat counts jitter more than
-50% on a busy CI core), or if an e2e run was not byte-identical.
+committed baseline *before* overwriting it, on a same-run basis: the
+baseline's optimized time is scaled by how much slower (or faster) this
+run timed the same op's reference kernel, so a uniformly slower machine
+passes and only an optimized kernel that lost ground against its own
+reference fails.  It exits non-zero if any op exceeds ``--check-factor``
+(default 1.5x) times that expected time beyond a 0.15ms absolute noise
+floor (sub-ms ops at low repeat counts jitter more than 50% on a busy
+CI core), or if an e2e run was not byte-identical.
 
 It also enforces a speedup *floor* (``--min-speedup``, default 0.97):
 every optimized kernel must at least match its reference implementation.
@@ -262,13 +266,25 @@ def e2e_case(model_name: str, rounds: int, clients: int, samples: int,
 # --------------------------------------------------------------------- #
 # regression gate                                                        #
 # --------------------------------------------------------------------- #
+def expected_opt_ms(live: dict, base: dict) -> float:
+    """The optimized time ``live`` should show if only the machine
+    changed: the baseline's optimized time scaled by the live/baseline
+    ratio of the same op's reference time."""
+    return base["opt_ms"] * live["ref_ms"] / base["ref_ms"]
+
+
 def check_regressions(record: dict, baseline_doc: str | None,
                       factor: float, min_speedup: float = 0.97) -> list[str]:
     """Failures of the current record against the committed baseline
     (passed as the baseline file's *pre-run* text, since the run may have
     overwritten it).
 
-    Besides the live-vs-baseline slowdown ratio, the gate enforces a
+    Each live micro row fails when its optimized time exceeds ``factor``
+    times the *expected* time plus 0.15ms, where the expected time is
+    the baseline's optimized time scaled by this run's reference time
+    over the baseline's (:func:`expected_opt_ms`) — a comparison of
+    ratios measured in the same run, not of absolute milliseconds taken
+    on another machine.  Besides that slowdown check, the gate enforces a
     speedup *floor*: no micro row may sit below ``min_speedup`` vs the
     reference kernels.  The floor is checked on the committed baseline
     rows always (they were measured min-of-50 on a quiet box, so a
@@ -304,10 +320,13 @@ def check_regressions(record: dict, baseline_doc: str | None,
         # 0.15ms absolute slack: the committed baseline is a min-of-50
         # on a quiet box; smoke runs are min-of-N at low N on shared CI
         # cores, where sub-ms ops jitter well past any ratio threshold.
-        if m["opt_ms"] > factor * base["opt_ms"] + 0.15:
+        expected = expected_opt_ms(m, base)
+        if m["opt_ms"] > factor * expected + 0.15:
             failures.append(
-                f"micro {m['name']}: {m['opt_ms']:.3f}ms vs baseline "
-                f"{base['opt_ms']:.3f}ms (> {factor}x)")
+                f"micro {m['name']}: {m['opt_ms']:.3f}ms vs expected "
+                f"{expected:.3f}ms (> {factor}x; baseline "
+                f"{base['opt_ms']:.3f}ms at ref {base['ref_ms']:.3f}ms, "
+                f"live ref {m['ref_ms']:.3f}ms)")
     return failures
 
 

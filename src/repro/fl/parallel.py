@@ -39,6 +39,10 @@ A worker process that *dies* (segfault, OOM-kill) surfaces as
 :class:`~repro.fl.resilience.WorkerCrashed`: it propagates when no fault
 model is configured, otherwise the client is recorded as dropped and the
 pool is rebuilt for the next collect.
+
+Every worker caps its OpenBLAS threadpool in the pool initializer to
+:func:`~repro.utils.blas.thread_budget` of the parent's usable CPUs, so
+``workers × BLAS threads`` never oversubscribes the cores (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from repro.fl.comm import (CommLedger, decode_update, deserialize_state,
 from repro.fl.resilience import ClientFailure, FaultStats, WorkerCrashed
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.trace import NullTracer, Tracer, get_tracer, set_tracer
+from repro.utils import blas
 
 
 class RoundExecutor:
@@ -155,9 +160,15 @@ def _pickle_algorithm(algorithm: Any) -> bytes:
             setattr(algorithm, attr, value)
 
 
-def _worker_init(algo_blob: bytes, barrier: Any = None) -> None:
-    """Pool initializer: install the algorithm replica in this process."""
+def _worker_init(algo_blob: bytes, barrier: Any = None,
+                 blas_threads: int | None = None) -> None:
+    """Pool initializer: cap this worker's OpenBLAS threadpool at
+    ``blas_threads`` (a runtime call: a forked worker inherits the
+    parent's loaded library, so the env var would come too late), then
+    install the algorithm replica."""
     global _WORKER_ALGO, _WORKER_CLIENTS, _WORKER_SYNC_VERSION, _WORKER_BARRIER
+    if blas_threads is not None:
+        blas.set_threads(blas_threads)
     _WORKER_ALGO = pickle.loads(algo_blob)
     _WORKER_CLIENTS = {c.client_id: c for c in _WORKER_ALGO.clients}
     _WORKER_SYNC_VERSION = -1
@@ -469,10 +480,13 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         # (initargs travel in the worker-spawn arguments), which works for
         # both fork and spawn contexts.
         self._barrier = self._mp_context.Barrier(self.workers)
+        threads = blas.thread_budget(self.workers, blas.usable_cpus(),
+                                     blas.get_threads())
         self._pool = ProcessPoolExecutor(max_workers=self.workers,
                                          mp_context=self._mp_context,
                                          initializer=_worker_init,
-                                         initargs=(blob, self._barrier))
+                                         initargs=(blob, self._barrier,
+                                                   threads))
         self._pool_algorithm = algorithm
         return self._pool
 

@@ -229,13 +229,17 @@ def blas_env() -> dict:
     BENCH_*.json trajectories are only comparable when the linear-algebra
     backend and its thread budget match, so every ``bench_*.py`` record
     embeds this snapshot: the detected BLAS implementation (from
-    ``numpy.show_config``), the ``*_NUM_THREADS`` knobs that cap its
-    threadpools, and the machine's CPU count.  Unset knobs record as
-    ``None`` (backend default: all cores).
+    ``numpy.show_config``), the effective OpenBLAS thread count read
+    from the loaded library (``None`` without OpenBLAS), the
+    ``*_NUM_THREADS`` knobs that cap its threadpools (unset knobs record
+    as ``None``), the machine's CPU count, and the CPUs this process may
+    run on (its affinity mask, which ``taskset`` narrows).
     """
     import os
 
     import numpy as np
+
+    from repro.utils.blas import get_threads, usable_cpus
 
     backend = "unknown"
     try:
@@ -250,7 +254,9 @@ def blas_env() -> dict:
     threads = {var: os.environ.get(var)
                for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                            "MKL_NUM_THREADS")}
-    return {"blas": backend, "cpu_count": os.cpu_count(), **threads}
+    return {"blas": backend, "openblas_threads": get_threads(),
+            "cpu_count": os.cpu_count(), "sched_cpus": usable_cpus(),
+            **threads}
 
 
 def observe_peak_rss(registry: "MetricsRegistry | None" = None) -> int:

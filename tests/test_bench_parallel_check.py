@@ -10,6 +10,7 @@ measured-good sweep shape.
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,45 @@ def test_spec_parsing(bench):
         bench.parse_spec("serial+shm")       # shm needs a process pool
     with pytest.raises(ValueError):
         bench.parse_spec("threads:2")
+
+
+def _fake_runs(monkeypatch, bench, walls, states=None):
+    """Replace ``run_once`` with scripted (wall, state) per spec, in call
+    order; returns the list of specs in the order they were run."""
+    calls = []
+    queues = {spec: list(ws) for spec, ws in walls.items()}
+    state_queues = {spec: list(ss) for spec, ss in (states or {}).items()}
+
+    def run_once(cfg, spec):
+        calls.append(spec["spec"])
+        wall = queues[spec["spec"]].pop(0)
+        state = (state_queues[spec["spec"]].pop(0)
+                 if spec["spec"] in state_queues else b"same")
+        return wall, state, [0.5]
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    return calls
+
+
+def test_rows_are_medians_of_interleaved_repeats(bench, monkeypatch,
+                                                 tmp_path):
+    """One slow outlier run cannot push a row under its floor."""
+    calls = _fake_runs(monkeypatch, bench, {
+        "serial": [1.0, 1.1, 0.9], "vectorized": [3.0, 0.9, 0.85]})
+    out = tmp_path / "bench.json"
+    assert bench.main(["--smoke", "--check", "--executors", "serial",
+                       "vectorized", "--out", str(out)]) == 0
+    assert calls == ["serial", "vectorized"] * bench.REPEATS
+    row = json.loads(out.read_text())[-1]["results"][1]
+    assert row["wall_s"] == 0.9
+    assert row["wall_s_repeats"] == [3.0, 0.9, 0.85]
+    assert row["speedup_vs_serial"] == pytest.approx(1.0 / 0.9, abs=1e-4)
+
+
+def test_divergence_in_any_repeat_fails(bench, monkeypatch, tmp_path):
+    _fake_runs(monkeypatch, bench,
+               {"serial": [1.0] * 3, "vectorized": [0.5] * 3},
+               states={"vectorized": [b"same", b"other", b"same"]})
+    assert bench.main(["--smoke", "--check", "--executors", "serial",
+                       "vectorized", "--out",
+                       str(tmp_path / "bench.json")]) == 1
