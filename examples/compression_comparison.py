@@ -5,7 +5,10 @@ Pits SPATL's *structured* salient selection against the two generic
 compressors the FL literature reaches for first:
 
 - top-k delta sparsification with error feedback (``FedTopK``);
-- fp16 payload quantisation on top of plain FedAvg.
+- fp16 uplink quantisation on top of plain FedAvg
+  (``QuantConfig(bits=16, error_feedback=False)``: a plain cast with no
+  residuals; tensors too small to gain from a quant record, such as
+  short biases, cross at fp32).
 
 The point the paper makes implicitly: generic compression shrinks bytes
 but buys no inference speedup and no heterogeneity handling; SPATL's
@@ -21,25 +24,10 @@ import argparse
 
 from repro.core import SPATL, StaticSaliencyPolicy
 from repro.data import SyntheticCIFAR10, dirichlet_partition
-from repro.fl import FedAvg, FedTopK, dequantize_state, make_federated_clients, \
-    quantize_state
+from repro.fl import FedAvg, FedTopK, QuantConfig, make_federated_clients
 from repro.graph import build_graph
 from repro.models import build_model
 from repro.utils.logging import render_table
-
-
-class FP16FedAvg(FedAvg):
-    """FedAvg whose uploads cross an fp16 wire (lossy but cheap)."""
-
-    name = "fedavg-fp16"
-
-    def upload_payload(self, update):
-        return quantize_state(update["state"])
-
-    def aggregate(self, updates, round_idx):
-        for u in updates:
-            u["state"] = dequantize_state(quantize_state(u["state"]))
-        super().aggregate(updates, round_idx)
 
 
 def main() -> None:
@@ -57,9 +45,12 @@ def main() -> None:
     contenders = [
         ("fedavg", lambda c: FedAvg(model_fn, c, lr=0.05, local_epochs=2,
                                     sample_ratio=0.7, seed=1)),
-        ("fedavg-fp16", lambda c: FP16FedAvg(model_fn, c, lr=0.05,
-                                             local_epochs=2,
-                                             sample_ratio=0.7, seed=1)),
+        ("fedavg-fp16", lambda c: FedAvg(model_fn, c, lr=0.05,
+                                         local_epochs=2, sample_ratio=0.7,
+                                         seed=1,
+                                         quant=QuantConfig(
+                                             bits=16,
+                                             error_feedback=False))),
         ("fedtopk-25%", lambda c: FedTopK(model_fn, c, lr=0.05,
                                           local_epochs=2, sample_ratio=0.7,
                                           fraction=0.25, seed=1)),

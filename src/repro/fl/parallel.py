@@ -11,11 +11,11 @@ the executor abstraction behind that loop (DESIGN.md §9):
   in-process loop exactly (same objects, same call order, zero overhead);
 - :class:`ProcessPoolRoundExecutor` — fans the per-client
   download → train → upload exchange over a ``ProcessPoolExecutor``
-  whose workers persist for the executor's lifetime; with ``shm=True``
-  the per-round broadcast state travels through a
-  :class:`SharedMemoryTransport` segment that workers deserialize
-  zero-copy (``wire.deserialize(copy=False)``) instead of through the
-  task-queue pickle stream.
+  whose workers persist for the executor's lifetime; the per-round
+  broadcast state travels through a :class:`SharedMemoryTransport`
+  segment that workers deserialize zero-copy
+  (``wire.deserialize(copy=False)``) instead of through the task-queue
+  pickle stream.
 
 (:class:`~repro.fl.vectorized.VectorizedRoundExecutor`, the third
 engine, lives in its own module; ``make_executor`` builds any of them.)
@@ -28,8 +28,8 @@ Parallel runs are **seed- and byte-identical** to serial runs because
    global sync state and the update objects through the very wire codec
    (:mod:`repro.fl.comm`) the simulated network uses, per-client extras
    through pickle — and the sync state is framed once per round by the
-   server's :class:`~repro.fl.wire.BroadcastCache` and shipped once per
-   *worker* (barrier-gated preload), not once per client;
+   server's :class:`~repro.fl.wire.BroadcastCache`, published once into
+   shared memory, and decoded once per *worker*, not once per client;
 3. the parent commits results — client ``local_state``, policy state,
    ledger traffic, fault stats, metrics, trace spans, and finally the
    update itself — in deterministic cohort order, regardless of which
@@ -49,8 +49,8 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing as mp
+import os
 import pickle
-import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -137,7 +137,6 @@ def _untraced():
 _WORKER_ALGO: Any = None
 _WORKER_CLIENTS: dict[int, Any] = {}
 _WORKER_SYNC_VERSION: int = -1
-_WORKER_BARRIER: Any = None   # shared barrier for sync-blob preloads
 _WORKER_SHM: dict[str, Any] = {}   # attached shared-memory segments by name
 
 
@@ -160,47 +159,17 @@ def _pickle_algorithm(algorithm: Any) -> bytes:
             setattr(algorithm, attr, value)
 
 
-def _worker_init(algo_blob: bytes, barrier: Any = None,
-                 blas_threads: int | None = None) -> None:
+def _worker_init(algo_blob: bytes, blas_threads: int | None = None) -> None:
     """Pool initializer: cap this worker's OpenBLAS threadpool at
     ``blas_threads`` (a runtime call: a forked worker inherits the
     parent's loaded library, so the env var would come too late), then
     install the algorithm replica."""
-    global _WORKER_ALGO, _WORKER_CLIENTS, _WORKER_SYNC_VERSION, _WORKER_BARRIER
+    global _WORKER_ALGO, _WORKER_CLIENTS, _WORKER_SYNC_VERSION
     if blas_threads is not None:
         blas.set_threads(blas_threads)
     _WORKER_ALGO = pickle.loads(algo_blob)
     _WORKER_CLIENTS = {c.client_id: c for c in _WORKER_ALGO.clients}
     _WORKER_SYNC_VERSION = -1
-    _WORKER_BARRIER = barrier
-
-
-def _apply_sync(version: int, blob: bytes) -> None:
-    """Decode and install one sync blob on this worker's replica."""
-    global _WORKER_SYNC_VERSION
-    with _untraced():
-        _WORKER_ALGO.load_worker_sync_state(deserialize_state(blob))
-    _WORKER_SYNC_VERSION = version
-
-
-def _preload_sync(version: int, blob: bytes, timeout: float) -> bool:
-    """Install the round's sync blob, holding this worker at the barrier.
-
-    The parent submits exactly ``workers`` of these per collect; the
-    shared barrier keeps each worker parked until *every* worker has
-    taken (and applied) one, so no worker can consume two preloads and
-    leave a sibling stale.  The large sync state therefore crosses the
-    process boundary once per worker per round instead of once per
-    client.  Returns False (instead of raising) when the barrier breaks
-    — e.g. a sibling died — so the parent can fall back to per-task
-    blobs for the round.
-    """
-    _apply_sync(version, blob)
-    try:
-        _WORKER_BARRIER.wait(timeout)
-    except threading.BrokenBarrierError:
-        return False
-    return True
 
 
 def _attach_shm(name: str) -> Any:
@@ -229,34 +198,25 @@ def _attach_shm(name: str) -> Any:
     return shm
 
 
-def _preload_sync_shm(version: int, name: str, nbytes: int,
-                      timeout: float) -> bool:
-    """Install the round's sync state straight from shared memory.
+def _apply_sync(task: _ClientTask) -> None:
+    """Decode and install the task's sync state on this worker's replica.
 
-    Like :func:`_preload_sync`, but instead of carrying the blob in the
-    task pickle the worker attaches the parent's shared-memory segment
-    and deserializes **zero-copy** (``copy=False``): arrays are read-only
-    views over the segment, so the large global state is never copied
-    into the task queue nor materialised per worker.  Any failure is
-    swallowed *after* meeting the barrier — a worker that bailed early
-    would park its siblings for the full timeout — and reported as
-    False so the parent falls back to per-task blobs for the round.
+    The state is read **zero-copy** (``copy=False``) from the parent's
+    shared-memory segment the task names: arrays are read-only views
+    over the segment, so the large global state never enters the task
+    queue nor is materialised per worker.  Only when the parent could
+    not publish the segment does the task carry the blob itself.
     """
     global _WORKER_SYNC_VERSION
-    ok = True
-    try:
-        shm = _attach_shm(name)
-        with _untraced():
-            state = deserialize_state(shm.buf[:nbytes], copy=False)
-            _WORKER_ALGO.load_worker_sync_state(state)
-        _WORKER_SYNC_VERSION = version
-    except Exception:
-        ok = False
-    try:
-        _WORKER_BARRIER.wait(timeout)
-    except threading.BrokenBarrierError:
-        return False
-    return ok
+    with _untraced():
+        if isinstance(task.sync, bytes):
+            state = deserialize_state(task.sync)
+        else:
+            name, nbytes = task.sync
+            state = deserialize_state(_attach_shm(name).buf[:nbytes],
+                                      copy=False)
+        _WORKER_ALGO.load_worker_sync_state(state)
+    _WORKER_SYNC_VERSION = task.sync_version
 
 
 @dataclass
@@ -267,8 +227,10 @@ class _ClientTask:
     round_idx: int
     salt: int
     sync_version: int        # bumped per collect; workers re-sync on change
-    sync_blob: bytes | None  # encoded worker_sync_state; None when the
-                             # blob was already distributed via _preload_sync
+    sync: tuple[str, int] | bytes  # (segment name, nbytes) of the round's
+                                   # published sync state, or the encoded
+                                   # state itself when it could not be
+                                   # published
     bcast_token: int         # server round token for the worker's own
                              # BroadcastCache / FaultyTransport
     local_state_blob: bytes  # pickled client.local_state
@@ -297,19 +259,15 @@ def _run_client_task(task: _ClientTask) -> _ClientOutcome:
 
     The worker re-points the replica's ledger/metrics/tracer at fresh
     per-task instances so nothing double-counts: the parent merges each
-    outcome exactly once, in cohort order.  The sync blob is applied only
-    when its version changed, so the (large) global state deserializes
-    once per worker per round, not once per client.
+    outcome exactly once, in cohort order.  The sync state is applied
+    only when its version changed, so the (large) global state
+    deserializes once per worker per round, not once per client.
     """
     algo = _WORKER_ALGO
     tracer = Tracer() if task.traced else NullTracer()
     set_tracer(tracer)
     if task.sync_version != _WORKER_SYNC_VERSION:
-        if task.sync_blob is None:
-            raise RuntimeError(
-                f"worker missed sync preload for version {task.sync_version} "
-                f"(has {_WORKER_SYNC_VERSION}) and the task carries no blob")
-        _apply_sync(task.sync_version, task.sync_blob)
+        _apply_sync(task)
     # Round token for this replica's broadcast cache: the worker's own
     # FaultyTransport / traced downlink frame the (client-invariant)
     # downlink once per round under this token instead of once per client.
@@ -390,12 +348,27 @@ class SharedMemoryTransport:
         return shm.name if shm is not None else None
 
     def publish(self, blob: bytes) -> tuple[str, int]:
-        """Write ``blob`` into shared memory; return ``(name, nbytes)``."""
+        """Write ``blob`` into shared memory; return ``(name, nbytes)``.
+
+        Raises ``OSError`` when the segment cannot be backed (``/dev/shm``
+        missing or full).  Creating a segment only ``ftruncate``s a sparse
+        tmpfs file, and a write into pages tmpfs cannot supply kills the
+        process with ``SIGBUS``, so the pages are reserved with
+        ``posix_fallocate`` first: a full ``/dev/shm`` then fails here,
+        as ``ENOSPC``, before anything is written.
+        """
         n = len(blob)
         if self._shm is None or self._shm.size < n:
             self.close()
-            self._holder["shm"] = shared_memory.SharedMemory(create=True,
-                                                             size=max(n, 1))
+            shm = shared_memory.SharedMemory(create=True, size=max(n, 1))
+            try:
+                if hasattr(os, "posix_fallocate"):
+                    os.posix_fallocate(shm._fd, 0, shm.size)
+            except OSError:
+                shm.close()
+                shm.unlink()
+                raise
+            self._holder["shm"] = shm
         shm = self._shm
         shm.buf[:n] = blob
         return shm.name, n
@@ -423,31 +396,24 @@ class ProcessPoolRoundExecutor(RoundExecutor):
     (each worker unpickles one algorithm replica in its initializer) and
     reused across rounds.  Per-round server state is framed once through
     the algorithm's :class:`~repro.fl.wire.BroadcastCache`
-    (``encoded_sync_state``) and — with ``broadcast=True``, the default —
-    distributed once per *worker* via barrier-gated preload tasks, so
-    client tasks stay small; with ``broadcast=False`` (and automatically
-    as a per-round fallback when a preload fails) the blob rides along in
-    every task, the pre-cache behaviour.  Either way a worker applies the
-    blob at most once per round.  Results are committed strictly in
-    cohort order — see the module docstring for the determinism argument.
+    (``encoded_sync_state``) and published into the executor's
+    :class:`SharedMemoryTransport` segment; every client task names that
+    segment, so tasks stay small and a worker decodes the state
+    zero-copy at most once per round.  Where the segment cannot be
+    published (``/dev/shm`` missing or full) the blob rides along in
+    every task instead.  Results are committed strictly in cohort
+    order — see the module docstring for the determinism argument.
 
     ``mp_context`` defaults to ``fork`` where available (cheap replica
     setup via copy-on-write; also required for algorithm classes defined
     in non-importable modules) and falls back to ``spawn``.
     """
 
-    # Deadline for workers meeting at the preload barrier; generous —
-    # it only has to cover worker process startup, never training.
-    _SYNC_BARRIER_TIMEOUT = 120.0
-
-    def __init__(self, workers: int, mp_context: Any = None,
-                 broadcast: bool = True, shm: bool = False):
+    def __init__(self, workers: int, mp_context: Any = None):
         if workers < 2:
             raise ValueError("ProcessPoolRoundExecutor needs >= 2 workers; "
                              "use SerialExecutor (or make_executor) instead")
         self.workers = workers
-        self.broadcast = broadcast
-        self.shm = shm
         if mp_context is None:
             method = ("fork" if "fork" in mp.get_all_start_methods()
                       else "spawn")
@@ -460,9 +426,8 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         # could bind a stale pool to a new algorithm allocated at a
         # recycled address after the old one was collected.
         self._pool_algorithm: Any = None
-        self._barrier: Any = None
         self._sync_version = 0
-        self._shm_transport = SharedMemoryTransport() if shm else None
+        self._shm_transport = SharedMemoryTransport()
 
     def _ensure_pool(self, algorithm) -> ProcessPoolExecutor:
         """The live pool for ``algorithm``, (re)building if needed.
@@ -476,52 +441,14 @@ class ProcessPoolRoundExecutor(RoundExecutor):
             return self._pool
         self.close()
         blob = _pickle_algorithm(algorithm)
-        # The barrier reaches workers through process inheritance
-        # (initargs travel in the worker-spawn arguments), which works for
-        # both fork and spawn contexts.
-        self._barrier = self._mp_context.Barrier(self.workers)
         threads = blas.thread_budget(self.workers, blas.usable_cpus(),
                                      blas.get_threads())
         self._pool = ProcessPoolExecutor(max_workers=self.workers,
                                          mp_context=self._mp_context,
                                          initializer=_worker_init,
-                                         initargs=(blob, self._barrier,
-                                                   threads))
+                                         initargs=(blob, threads))
         self._pool_algorithm = algorithm
         return self._pool
-
-    def _distribute_sync(self, pool, sync_blob: bytes) -> bool:
-        """Ship the round's sync blob to every worker exactly once.
-
-        Submits ``workers`` barrier-gated preload tasks: each worker
-        applies the blob, then parks at the shared barrier until all
-        workers have theirs, which guarantees one preload per worker.
-        With ``shm=True`` the blob travels through the
-        :class:`SharedMemoryTransport` segment (workers read it
-        zero-copy) and the preload task carries only ``(name, nbytes)``.
-        Returns False — closing the pool if it broke — when distribution
-        could not be confirmed; the caller falls back to per-task blobs.
-        """
-        if self._shm_transport is not None:
-            try:
-                name, nbytes = self._shm_transport.publish(sync_blob)
-            except OSError:
-                return False   # e.g. /dev/shm exhausted → per-task blobs
-            futures = [pool.submit(_preload_sync_shm, self._sync_version,
-                                   name, nbytes, self._SYNC_BARRIER_TIMEOUT)
-                       for _ in range(self.workers)]
-        else:
-            futures = [pool.submit(_preload_sync, self._sync_version,
-                                   sync_blob, self._SYNC_BARRIER_TIMEOUT)
-                       for _ in range(self.workers)]
-        try:
-            ok = all([f.result() for f in futures])
-        except BrokenProcessPool:
-            self.close()   # caller re-ensures a healthy pool
-            return False
-        if not ok and self._barrier is not None:
-            self._barrier.reset()   # clear the broken state for next round
-        return ok
 
     def collect(self, algorithm, selected, round_idx, salt, stats):
         """Dispatch the cohort to workers; commit results in cohort order."""
@@ -530,15 +457,14 @@ class ProcessPoolRoundExecutor(RoundExecutor):
         self._sync_version += 1
         with _untraced():
             sync_blob = algorithm.encoded_sync_state()
-        preloaded = False
-        if self.broadcast:
-            preloaded = self._distribute_sync(pool, sync_blob)
-            if not preloaded:
-                pool = self._ensure_pool(algorithm)   # may have been closed
+        try:
+            sync = self._shm_transport.publish(sync_blob)
+        except OSError:
+            sync = sync_blob   # e.g. /dev/shm exhausted → per-task blobs
         tasks = [
             _ClientTask(client_id=client.client_id, round_idx=round_idx,
                         salt=salt, sync_version=self._sync_version,
-                        sync_blob=None if preloaded else sync_blob,
+                        sync=sync,
                         bcast_token=algorithm._bcast_gen,
                         local_state_blob=pickle.dumps(client.local_state),
                         context_blob=pickle.dumps(
@@ -598,14 +524,11 @@ class ProcessPoolRoundExecutor(RoundExecutor):
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
             self._pool_algorithm = None
-            self._barrier = None
-        if self._shm_transport is not None:
-            self._shm_transport.close()
+        self._shm_transport.close()
 
 
 def make_executor(workers: int, mp_context: Any = None,
-                  broadcast: bool = True, kind: str = "auto",
-                  shm: bool = False) -> RoundExecutor:
+                  kind: str = "auto") -> RoundExecutor:
     """Build a round executor (DESIGN.md §14's decision table, in code).
 
     ``kind`` selects the engine: ``"auto"`` (serial for ``workers <= 1``,
@@ -613,20 +536,10 @@ def make_executor(workers: int, mp_context: Any = None,
     ``workers >= 2``), or ``"vectorized"`` (batched cohort training,
     falling back to a process pool when ``workers >= 2`` — serial
     otherwise — for rounds outside the cohort kernels' envelope).
-    ``shm=True`` routes the process pool's broadcast state through a
-    :class:`SharedMemoryTransport` segment; it therefore needs a process
-    pool to exist (``workers >= 2``) and raises rather than being
-    silently ignored without one.
     """
-    if shm and (kind == "serial" or workers <= 1):
-        raise ValueError("shm=True routes broadcasts through a process "
-                         "pool's shared-memory segment and needs "
-                         f"workers >= 2 (got kind={kind!r}, "
-                         f"workers={workers})")
     if kind == "vectorized":
         from repro.fl.vectorized import VectorizedRoundExecutor
-        fallback = (ProcessPoolRoundExecutor(workers, mp_context=mp_context,
-                                             broadcast=broadcast, shm=shm)
+        fallback = (ProcessPoolRoundExecutor(workers, mp_context=mp_context)
                     if workers > 1 else None)
         return VectorizedRoundExecutor(fallback=fallback)
     if kind not in ("auto", "serial", "process"):
@@ -634,5 +547,4 @@ def make_executor(workers: int, mp_context: Any = None,
                          "auto, serial, process, vectorized")
     if kind == "serial" or (kind == "auto" and workers <= 1):
         return SerialExecutor()
-    return ProcessPoolRoundExecutor(workers, mp_context=mp_context,
-                                    broadcast=broadcast, shm=shm)
+    return ProcessPoolRoundExecutor(workers, mp_context=mp_context)

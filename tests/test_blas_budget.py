@@ -17,7 +17,6 @@ import pytest
 
 from repro.data import dirichlet_partition
 from repro.fl import make_federated_clients
-from repro.fl import parallel
 from repro.fl.fedavg import FedAvg
 from repro.fl.parallel import ProcessPoolRoundExecutor
 from repro.obs.metrics import blas_env
@@ -62,10 +61,11 @@ def test_blas_env_records_threads_and_affinity():
     assert "OPENBLAS_NUM_THREADS" in env and "cpu_count" in env
 
 
-def _probe_worker(timeout: float) -> tuple[int, int | None]:
-    """Runs inside a pool worker: park at the pool's barrier so each of
-    the ``workers`` probes lands on a distinct worker, then report."""
-    parallel._WORKER_BARRIER.wait(timeout)
+def _probe_worker(barrier, timeout: float) -> tuple[int, int | None]:
+    """Runs inside a pool worker: park at ``barrier`` (a two-party
+    manager barrier) so each of the two probes lands on a distinct
+    worker, then report."""
+    barrier.wait(timeout)
     return os.getpid(), blas.get_threads()
 
 
@@ -84,12 +84,15 @@ def test_pool_workers_run_the_budget(method, tiny_dataset, tiny_model_fn):
                   sample_ratio=1.0, seed=0, executor=executor)
     expected = blas.thread_budget(2, blas.usable_cpus(), blas.get_threads())
     parent_before = blas.get_threads()
-    try:
-        pool = executor._ensure_pool(algo)
-        futures = [pool.submit(_probe_worker, 60.0) for _ in range(2)]
-        reports = [f.result(timeout=120) for f in futures]
-    finally:
-        algo.close()
+    with mp.Manager() as manager:
+        barrier = manager.Barrier(2)
+        try:
+            pool = executor._ensure_pool(algo)
+            futures = [pool.submit(_probe_worker, barrier, 60.0)
+                       for _ in range(2)]
+            reports = [f.result(timeout=120) for f in futures]
+        finally:
+            algo.close()
     assert len({pid for pid, _ in reports}) == 2
     assert [threads for _, threads in reports] == [expected, expected]
     assert blas.get_threads() == parent_before   # the parent is untouched

@@ -23,10 +23,12 @@ from repro.fl.comm import (CommLedger, PayloadError, decode_update,
                            encode_update, serialize_state)
 from repro.fl.faults import FaultModel
 from repro.fl.fedavg import FedAvg
+from repro.fl.fednova import FedNova
 from repro.fl.parallel import (ProcessPoolRoundExecutor, SerialExecutor,
                                make_executor)
 from repro.fl.resilience import (ClientDropped, StragglerTimeout,
                                  TransferCorrupted, WorkerCrashed)
+from repro.fl.scaffold import Scaffold
 from repro.core.spatl import SPATL
 from repro.core.selection_policies import StaticSaliencyPolicy
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -64,6 +66,10 @@ def _build(algo_name, model_fn, clients, workers, fault_model=None):
     if algo_name == "spatl":
         return SPATL(model_fn, clients,
                      selection_policy=StaticSaliencyPolicy(0.3), **common)
+    if algo_name == "scaffold":
+        return Scaffold(model_fn, clients, **common)
+    if algo_name == "fednova":
+        return FedNova(model_fn, clients, **common)
     return FedAvg(model_fn, clients, **common)
 
 
@@ -105,7 +111,12 @@ def _assert_round_results_equal(lhs, rhs):
 
 
 # ------------------------------------------------------------ equivalence
-@pytest.mark.parametrize("algo_name", ["fedavg", "spatl"])
+# SCAFFOLD, FedNova and SPATL workers keep read-only zero-copy views into
+# the shared-memory segment the parent rewrites every round as server
+# state (control variate, server momentum); equality with serial here is
+# what shows no worker writes to or reads them stale.
+@pytest.mark.parametrize("algo_name", ["fedavg", "spatl", "scaffold",
+                                       "fednova"])
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
 def test_parallel_matches_serial(eight_client_setting, algo_name, faults):
     fault_model = _fault_model() if faults else None

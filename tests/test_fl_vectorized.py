@@ -1,8 +1,8 @@
 """Vectorized cohort executor + shared-memory transport (DESIGN.md §14).
 
 The contract under test: a :class:`VectorizedRoundExecutor` run — and a
-``ProcessPoolRoundExecutor(shm=True)`` run — is *byte-identical* to a
-:class:`SerialExecutor` run: same global model bytes, same
+shared-memory ``ProcessPoolRoundExecutor`` run — is *byte-identical* to
+a :class:`SerialExecutor` run: same global model bytes, same
 ``RoundResult`` fields, same fault statistics, same metric counters.
 Anything the cohort kernels cannot replicate (unsupported layers,
 customised ``local_update``) must fall back to serial, still
@@ -148,11 +148,12 @@ def test_cohort_trainer_rejects_dropout():
 
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
 def test_shm_executor_matches_serial(eight_client_setting, faults):
+    # Every process pool publishes the round state into shared memory.
     fault_model = _fault_model() if faults else None
     serial = _run("fedavg", eight_client_setting, SerialExecutor,
                   fault_model)
     shm = _run("fedavg", eight_client_setting,
-               lambda: ProcessPoolRoundExecutor(2, shm=True), fault_model)
+               lambda: ProcessPoolRoundExecutor(2), fault_model)
     _assert_equivalent(serial, shm)
 
 
@@ -287,23 +288,17 @@ def test_async_runtime_composes_with_vectorized(eight_client_setting):
 def test_make_executor_kinds():
     assert isinstance(make_executor(1), SerialExecutor)
     assert isinstance(make_executor(4, kind="serial"), SerialExecutor)
-    pooled = make_executor(2, kind="process", shm=True)
-    assert isinstance(pooled, ProcessPoolRoundExecutor) and pooled.shm
+    pooled = make_executor(2, kind="process")
+    assert isinstance(pooled, ProcessPoolRoundExecutor)
     pooled.close()
     solo = make_executor(1, kind="vectorized")
     assert isinstance(solo, VectorizedRoundExecutor)
     assert isinstance(solo.fallback, SerialExecutor)
     solo.close()
-    fanned = make_executor(2, kind="vectorized", shm=True)
+    fanned = make_executor(2, kind="vectorized")
     assert isinstance(fanned.fallback, ProcessPoolRoundExecutor)
-    assert fanned.fallback.shm
     fanned.close()
     with pytest.raises(ValueError, match="unknown executor kind"):
         make_executor(2, kind="threads")
     with pytest.raises(ValueError):
         make_executor(1, kind="process")
-    # shm without a process pool is an error, not silently ignored
-    with pytest.raises(ValueError, match="workers >= 2"):
-        make_executor(1, shm=True)
-    with pytest.raises(ValueError, match="workers >= 2"):
-        make_executor(4, kind="serial", shm=True)

@@ -10,7 +10,9 @@ typed :class:`PayloadError`, never raw ``struct.error``.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import pickle
 import struct
 import zlib
@@ -497,38 +499,109 @@ class TestFaultyTransportBroadcast:
 
 
 # --------------------------------------------------------------------- #
-# end-to-end: broadcast caching changes neither bytes nor parameters     #
+# end-to-end: the per-task blob fallback changes neither bytes nor state #
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
-def test_workers2_broadcast_off_matches_on(tiny_dataset, tiny_setting,
-                                           faults):
+def _pool_fedavg_run(tiny_dataset, model_fn, faults):
+    """Two FedAvg rounds on a 2-worker pool: (state bytes, ledger total,
+    per-round bytes, name of the shared-memory segment or None)."""
     from repro.data import dirichlet_partition
     from repro.fl import make_federated_clients
     from repro.fl.fedavg import FedAvg
     from repro.fl.parallel import ProcessPoolRoundExecutor
 
-    model_fn, _ = tiny_setting
     parts = dirichlet_partition(tiny_dataset.y, 4, beta=0.5, seed=3)
     fault_model = (FaultModel(drop_prob=0.2, corrupt_prob=0.05, seed=21)
                    if faults else None)
+    clients = make_federated_clients(tiny_dataset, parts, batch_size=32,
+                                     seed=5)
+    executor = ProcessPoolRoundExecutor(2)
+    algo = FedAvg(model_fn, clients, lr=0.05, local_epochs=1,
+                  sample_ratio=1.0, seed=0, fault_model=fault_model,
+                  executor=executor)
+    try:
+        results = [algo.run_round(r) for r in range(2)]
+        segment = executor._shm_transport.name
+    finally:
+        algo.close()
+    return (serialize_state(algo.global_model.state_dict()),
+            algo.ledger.total_bytes(),
+            [r.round_bytes for r in results], segment)
 
-    def run(broadcast):
-        clients = make_federated_clients(tiny_dataset, parts, batch_size=32,
-                                         seed=5)
-        algo = FedAvg(model_fn, clients, lr=0.05, local_epochs=1,
-                      sample_ratio=1.0, seed=0, fault_model=fault_model,
-                      executor=ProcessPoolRoundExecutor(
-                          2, broadcast=broadcast))
-        try:
-            results = [algo.run_round(r) for r in range(2)]
-        finally:
-            algo.close()
-        return (serialize_state(algo.global_model.state_dict()),
-                algo.ledger.total_bytes(),
-                [r.round_bytes for r in results])
 
-    state_on, total_on, rounds_on = run(True)
-    state_off, total_off, rounds_off = run(False)
-    assert state_on == state_off            # byte-identical parameters
-    assert total_on == total_off            # byte-identical accounting
-    assert rounds_on == rounds_off
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+def test_workers2_shm_fallback_matches_shm(tiny_dataset, tiny_setting,
+                                           faults, monkeypatch):
+    """With no shared memory to publish into (``/dev/shm`` missing or
+    full), the pool ships the sync blob inside every task instead: same
+    parameters, same ledger, same per-round bytes."""
+    from repro.fl.parallel import SharedMemoryTransport
+
+    model_fn, _ = tiny_setting
+    state_shm, total_shm, rounds_shm, segment = _pool_fedavg_run(
+        tiny_dataset, model_fn, faults)
+    assert segment is not None              # the sync state went via shm
+
+    def no_shm(self, blob):
+        raise OSError("no space left on /dev/shm")
+
+    monkeypatch.setattr(SharedMemoryTransport, "publish", no_shm)
+    state_blob, total_blob, rounds_blob, segment = _pool_fedavg_run(
+        tiny_dataset, model_fn, faults)
+    assert segment is None                  # ... and here it could not
+    assert state_blob == state_shm          # byte-identical parameters
+    assert total_blob == total_shm          # byte-identical accounting
+    assert rounds_blob == rounds_shm
+
+
+def _enospc(fd, offset, length):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate"),
+                    reason="needs os.posix_fallocate")
+def test_shm_publish_full_raises_and_leaks_nothing(monkeypatch):
+    """A segment tmpfs cannot back fails at publish as ``OSError`` (the
+    write into an unbacked page would be a ``SIGBUS``), and the segment
+    just created is unlinked, not left behind."""
+    from multiprocessing import shared_memory
+    from repro.fl.parallel import SharedMemoryTransport
+
+    created = []
+
+    class Recording(shared_memory.SharedMemory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self.name)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", Recording)
+    monkeypatch.setattr(os, "posix_fallocate", _enospc)
+    transport = SharedMemoryTransport()
+    with pytest.raises(OSError) as info:
+        transport.publish(b"x" * 4096)
+    assert info.value.errno == errno.ENOSPC
+    assert transport.name is None
+    assert len(created) == 1
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=created[0])
+    transport.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate"),
+                    reason="needs os.posix_fallocate")
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+def test_workers2_shm_enospc_falls_back(tiny_dataset, tiny_setting, faults,
+                                        monkeypatch):
+    """A full ``/dev/shm`` (``posix_fallocate`` → ``ENOSPC``) sends the
+    pool down the per-task blob path: byte-identical to the shm run."""
+    model_fn, _ = tiny_setting
+    state_shm, total_shm, rounds_shm, segment = _pool_fedavg_run(
+        tiny_dataset, model_fn, faults)
+    assert segment is not None
+
+    monkeypatch.setattr(os, "posix_fallocate", _enospc)
+    state_blob, total_blob, rounds_blob, segment = _pool_fedavg_run(
+        tiny_dataset, model_fn, faults)
+    assert segment is None
+    assert state_blob == state_shm
+    assert total_blob == total_shm
+    assert rounds_blob == rounds_shm
